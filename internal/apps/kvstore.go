@@ -100,8 +100,9 @@ func (n *KVNode) Init(ctx dsim.Context) {
 func (n *KVNode) install(ctx dsim.Context, key, val string, ver uint64) {
 	n.st.Values[key] = val
 	n.st.Versions[key] = ver
-	// One heap page region per key index keeps writes page-local.
-	if idx, err := strconv.Atoi(strings.TrimPrefix(key, "k")); err == nil {
+	// One heap page region per key index keeps writes page-local. A key
+	// outside the store's range (a corrupted payload) lives only in state.
+	if idx, err := strconv.Atoi(strings.TrimPrefix(key, "k")); err == nil && idx >= 0 && idx < n.cfg.Keys {
 		ctx.Heap().WriteUint64(idx*512, ver)
 	}
 }

@@ -115,9 +115,9 @@ func (f *fuzzInjector) OnMessage(dsim.Context, string, []byte)     {}
 func (f *fuzzInjector) OnTimer(dsim.Context, string)               {}
 func (f *fuzzInjector) OnRollback(dsim.Context, dsim.RollbackInfo) {}
 
-// FuzzCorruptPayloadDecode: the scenario-zoo handlers parse in-flight
-// payloads that fault.Corrupt may have mutated arbitrarily, so every
-// machine must absorb arbitrary bytes — from any sender, at any time —
+// FuzzCorruptPayloadDecode: the scenario-zoo and kvstore handlers parse
+// in-flight payloads that fault.Corrupt may have mutated arbitrarily, so
+// every machine must absorb arbitrary bytes — from any sender, at any time —
 // without panicking. The injector delivers the fuzz payload through a real
 // simulation, exercising the same OnMessage path corrupted deliveries take.
 func FuzzCorruptPayloadDecode(f *testing.F) {
@@ -131,6 +131,8 @@ func FuzzCorruptPayloadDecode(f *testing.F) {
 	f.Add([]byte("inv|k1|2"))
 	f.Add([]byte{})
 	f.Add([]byte("\xff\x00|\xfe||9"))
+	f.Add([]byte("repl|k-1|v0|3"))
+	f.Add([]byte("repl|k99|v0|3"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, buggy := range []bool{false, true} {
 			for _, mk := range []func(bool) map[string]dsim.Machine{
@@ -143,6 +145,12 @@ func FuzzCorruptPayloadDecode(f *testing.F) {
 					cfg := chaosCACfg
 					cfg.Buggy = b
 					return NewCacheAside(cfg)
+				},
+				func(b bool) map[string]dsim.Machine {
+					if b {
+						return NewKVStore(chaosKVBugCfg)
+					}
+					return NewKVStore(chaosKVCfg)
 				},
 			} {
 				ms := mk(buggy)

@@ -347,3 +347,21 @@ func TestZooMatrixCorruptSlow(t *testing.T) {
 		}
 	}
 }
+
+// TestKVStoreCorruptSearchRegression: a corrupted replication key used to
+// turn into a negative heap offset in the kvstore handler and panic
+// (checkpoint: negative offset -512), aborting this search at seed 85.
+// The search must now run to completion.
+func TestKVStoreCorruptSearchRegression(t *testing.T) {
+	spec, err := apps.Lookup("kvstore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := Search(SearchConfig{
+		Apps: []apps.AppSpec{spec}, Buggy: true, Seed: 85, CheckEvery: 256,
+		ExtraKinds: []fault.Kind{fault.Rollback, fault.Corrupt, fault.SlowNode},
+	})
+	if len(rep.Apps) != 1 || rep.Apps[0].Executions == 0 {
+		t.Fatalf("search executed nothing: %+v", rep.Apps)
+	}
+}

@@ -13,7 +13,7 @@ func mkCkpt(proc string, clock vclock.VC) *Checkpoint {
 
 func TestStorePutGet(t *testing.T) {
 	s := NewStore()
-	c := mkCkpt("a", vclock.VC{"a": 1})
+	c := mkCkpt("a", vclock.FromMap(map[string]uint64{"a": 1}))
 	id := s.Put(c)
 	if id == "" {
 		t.Fatal("empty ID assigned")
@@ -33,8 +33,8 @@ func TestStorePutGet(t *testing.T) {
 
 func TestStoreLatestAndList(t *testing.T) {
 	s := NewStore()
-	c1 := mkCkpt("a", vclock.VC{"a": 1})
-	c2 := mkCkpt("a", vclock.VC{"a": 2})
+	c1 := mkCkpt("a", vclock.FromMap(map[string]uint64{"a": 1}))
+	c2 := mkCkpt("a", vclock.FromMap(map[string]uint64{"a": 2}))
 	s.Put(c1)
 	s.Put(c2)
 	if got := s.Latest("a"); got != c2 {
@@ -51,8 +51,8 @@ func TestStoreLatestAndList(t *testing.T) {
 
 func TestStoreProcsSorted(t *testing.T) {
 	s := NewStore()
-	s.Put(mkCkpt("zeta", vclock.VC{}))
-	s.Put(mkCkpt("alpha", vclock.VC{}))
+	s.Put(mkCkpt("zeta", vclock.New()))
+	s.Put(mkCkpt("alpha", vclock.New()))
 	got := s.Procs()
 	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
 		t.Errorf("Procs = %v", got)
@@ -61,7 +61,7 @@ func TestStoreProcsSorted(t *testing.T) {
 
 func TestStoreRemove(t *testing.T) {
 	s := NewStore()
-	c := mkCkpt("a", vclock.VC{"a": 1})
+	c := mkCkpt("a", vclock.FromMap(map[string]uint64{"a": 1}))
 	id := s.Put(c)
 	if !s.Remove(id) {
 		t.Fatal("Remove existing returned false")
@@ -80,9 +80,9 @@ func TestStoreRemove(t *testing.T) {
 func TestStorePruneBefore(t *testing.T) {
 	s := NewStore()
 	for i := 1; i <= 5; i++ {
-		s.Put(mkCkpt("a", vclock.VC{"a": uint64(i)}))
+		s.Put(mkCkpt("a", vclock.FromMap(map[string]uint64{"a": uint64(i)})))
 	}
-	s.Put(mkCkpt("b", vclock.VC{"b": 1}))
+	s.Put(mkCkpt("b", vclock.FromMap(map[string]uint64{"b": 1})))
 	removed := s.PruneBefore(2)
 	if removed != 3 {
 		t.Errorf("removed = %d, want 3", removed)
@@ -100,23 +100,23 @@ func TestStorePruneBefore(t *testing.T) {
 
 func TestLatestNotAfter(t *testing.T) {
 	s := NewStore()
-	c1 := mkCkpt("a", vclock.VC{"a": 1})
-	c2 := mkCkpt("a", vclock.VC{"a": 5})
-	c3 := mkCkpt("a", vclock.VC{"a": 9})
+	c1 := mkCkpt("a", vclock.FromMap(map[string]uint64{"a": 1}))
+	c2 := mkCkpt("a", vclock.FromMap(map[string]uint64{"a": 5}))
+	c3 := mkCkpt("a", vclock.FromMap(map[string]uint64{"a": 9}))
 	s.Put(c1)
 	s.Put(c2)
 	s.Put(c3)
 	// Fault observed at {a:6}: c3 (a:9) is causally after, c2 (a:5) is not.
-	got := s.LatestNotAfter("a", vclock.VC{"a": 6})
+	got := s.LatestNotAfter("a", vclock.FromMap(map[string]uint64{"a": 6}))
 	if got != c2 {
 		t.Errorf("LatestNotAfter = %+v, want c2", got)
 	}
 	// Limit before everything: only nothing qualifies except... c1 has a:1 > a:0,
 	// which is After, so nil.
-	if got := s.LatestNotAfter("a", vclock.VC{}); got != nil {
+	if got := s.LatestNotAfter("a", vclock.New()); got != nil {
 		t.Errorf("LatestNotAfter(empty) = %+v, want nil", got)
 	}
-	if got := s.LatestNotAfter("zz", vclock.VC{"a": 1}); got != nil {
+	if got := s.LatestNotAfter("zz", vclock.FromMap(map[string]uint64{"a": 1})); got != nil {
 		t.Error("unknown proc should be nil")
 	}
 }

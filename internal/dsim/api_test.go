@@ -18,8 +18,8 @@ func TestAccessors(t *testing.T) {
 	if len(procs) != 2 || procs[0] != "a-proc" || procs[1] != "b-proc" {
 		t.Errorf("Procs = %v, want sorted", procs)
 	}
-	if s.Scroll("ghost") != nil || s.Heap("ghost") != nil || s.Clock("ghost") != nil {
-		t.Error("unknown proc accessors should return nil")
+	if s.Scroll("ghost") != nil || s.Heap("ghost") != nil || !s.Clock("ghost").IsZero() {
+		t.Error("unknown proc accessors should return nil (an empty clock)")
 	}
 	if s.MachineState("ghost") != nil {
 		t.Error("MachineState of unknown proc should be nil")
@@ -38,7 +38,7 @@ func TestAccessors(t *testing.T) {
 	// Clock returns a copy.
 	clk.Tick("b-proc")
 	if s.Clock("b-proc").Compare(clk) == vclock.Equal {
-		t.Error("Clock returned aliased map")
+		t.Error("Clock returned an aliased clock")
 	}
 }
 

@@ -225,6 +225,8 @@ type proc struct {
 	scroll    *scroll.Scroll
 	clock     vclock.VC
 	snap      vclock.VC // cached clock copy, shared by records between ticks
+	snapOK    bool      // snap is a copy of the current clock
+	clocks    *vclock.Arena
 	ctx       *simContext
 	lamport   vclock.Lamport
 	crashed   bool
@@ -260,12 +262,12 @@ type durableCell struct {
 // every record created until the clock next advances. Scroll records,
 // queued events, checkpoints and fault records all treat their clock as
 // immutable (nothing in the tree mutates a Record.Clock in place), so
-// sharing one snapshot between ticks removes a map allocation per recorded
-// action — a measurable slice of the chaos hot path. Every site that
-// mutates p.clock must nil p.snap.
+// sharing one snapshot between ticks saves a copy per recorded action, and
+// the copies themselves are carved from the simulation's clock arena. Every
+// site that mutates p.clock must clear p.snapOK.
 func (p *proc) clockSnap() vclock.VC {
-	if p.snap == nil {
-		p.snap = p.clock.Copy()
+	if !p.snapOK {
+		p.snap, p.snapOK = p.clocks.Copy(p.clock), true
 	}
 	return p.snap
 }
@@ -337,6 +339,17 @@ type Sim struct {
 	procs  map[string]*proc
 	order  []string
 	spare  map[string]*proc // retired procs whose arenas Reset recycles
+
+	// clockTab is the sorted process table every process clock is laid
+	// out over, so deliveries merge clocks slot by slot. AddProcess marks
+	// it stale; syncClocks rebuilds it (only if the process set changed —
+	// pooled runs of one application keep it) before the next run.
+	clockTab   *vclock.Table
+	clockStale bool
+	// clocks is the bump arena clock snapshots are carved from. Like
+	// payBuf it is never rewound: a chunk is released when the records
+	// pointing into it go.
+	clocks vclock.Arena
 
 	specs    *speculation.Manager
 	store    *checkpoint.Store
@@ -428,7 +441,7 @@ func New(cfg Config) *Sim {
 		store:    checkpoint.NewStore(),
 		lastFIFO: make(map[string]uint64),
 	}
-	s.rngSrc = &gfsrSource{}
+	s.rngSrc = newCachedSource()
 	s.rngSrc.Seed(s.cfg.Seed)
 	s.rng = rand.New(s.rngSrc)
 	s.specs = speculation.NewManager(specCtl{s})
@@ -450,7 +463,7 @@ func New(cfg Config) *Sim {
 func (s *Sim) Reset(cfg Config) {
 	s.cfg = normalize(cfg)
 	if s.rngSrc == nil {
-		s.rngSrc = &gfsrSource{}
+		s.rngSrc = newCachedSource()
 		s.rng = rand.New(s.rngSrc)
 	}
 	s.rngSrc.Seed(s.cfg.Seed)
@@ -481,6 +494,8 @@ func (s *Sim) Reset(cfg Config) {
 	s.monEvery, s.monFn = 0, nil
 	s.FaultHandler = nil
 	s.payBuf = nil // records of the old run may still reference the chunk
+	// s.clocks keeps carving past the old run's snapshots, never over them;
+	// s.clockTab stays, so a run over the same processes reuses it.
 }
 
 // AddProcess registers a machine under the given process ID. It must be
@@ -495,8 +510,8 @@ func (s *Sim) AddProcess(id string, m Machine) {
 		p.machine = m
 		p.heap.Reset(s.cfg.HeapSize, s.cfg.HeapPageSize)
 		p.scroll.Truncate(0)
-		clear(p.clock)
-		p.snap = nil
+		p.clock.Clear()
+		p.snap, p.snapOK = vclock.VC{}, false
 		p.lamport = vclock.Lamport{}
 		p.crashed, p.halted = false, false
 		p.delivered, p.ckptSkew = 0, 0
@@ -506,9 +521,9 @@ func (s *Sim) AddProcess(id string, m Machine) {
 			machine: m,
 			heap:    checkpoint.NewHeapPages(s.cfg.HeapSize, s.cfg.HeapPageSize),
 			scroll:  scroll.NewMemory(id),
-			clock:   vclock.New(),
 		}
 	}
+	p.clocks = &s.clocks
 	if p.ctx == nil || p.ctx.sim != s {
 		// One reusable context per process: machine callbacks receive the
 		// same (sim, proc) pair for the process's whole life, so handing
@@ -523,6 +538,26 @@ func (s *Sim) AddProcess(id string, m Machine) {
 	s.procs[id] = p
 	s.order = append(s.order, id)
 	sort.Strings(s.order)
+	s.clockStale = true
+}
+
+// syncClocks lays every process clock out over the table of the current
+// process set, rebuilding the table only if the set changed since it was
+// built. Clocks on other tables would still be correct — vclock falls back
+// to name-wise operations — just slower.
+func (s *Sim) syncClocks() {
+	if !s.clockStale {
+		return
+	}
+	s.clockStale = false
+	if !s.clockTab.Matches(s.order) {
+		s.clockTab = vclock.NewTable(s.order...)
+	}
+	for _, id := range s.order {
+		p := s.procs[id]
+		p.clock.Rebase(s.clockTab)
+		p.snapOK = false
+	}
 }
 
 // SetStepMonitor installs fn, invoked after every 'every' processed steps
@@ -604,12 +639,13 @@ func (s *Sim) MachineState(id string) []byte {
 	return b
 }
 
-// Clock returns a copy of the process's vector clock.
+// Clock returns a copy of the process's vector clock (empty if the process
+// is unknown).
 func (s *Sim) Clock(id string) vclock.VC {
 	if p, ok := s.procs[id]; ok {
 		return p.clock.Copy()
 	}
-	return nil
+	return vclock.VC{}
 }
 
 // Trace merges all process scrolls into a global trace.
@@ -872,6 +908,7 @@ func (s *Sim) partitioned(from, to string, t uint64) bool {
 // Run initializes all machines and processes events until the queue is
 // empty, MaxSteps is reached, or Stop is called. It returns the stats.
 func (s *Sim) Run() Stats {
+	s.syncClocks()
 	for _, id := range s.order {
 		p := s.procs[id]
 		p.machine.Init(p.ctx)
@@ -887,6 +924,7 @@ func (s *Sim) Run() Stats {
 // Resume continues processing events without re-initializing machines —
 // used after a Time-Machine rollback or an external Stop.
 func (s *Sim) Resume() Stats {
+	s.syncClocks()
 	s.stop = false
 	for s.queue.len() > 0 && !s.stop && int(s.stats.Steps) < s.cfg.MaxSteps {
 		ev := s.queue.pop()
@@ -967,7 +1005,7 @@ func (s *Sim) deliver(ev *event) {
 	}
 	p.clock.Merge(ev.clock)
 	p.clock.Tick(p.id)
-	p.snap = nil
+	p.snapOK = false
 	lam := p.lamport.Witness(ev.lamport)
 	if _, err := p.scroll.Append(scroll.Record{
 		Kind: scroll.KindRecv, MsgID: ev.msgID, Peer: ev.from,
@@ -991,7 +1029,7 @@ func (s *Sim) fireTimer(ev *event) {
 		return
 	}
 	p.clock.Tick(p.id)
-	p.snap = nil
+	p.snapOK = false
 	lam := p.lamport.Tick()
 	tr := s.timerParts(ev.timerName)
 	p.scroll.Append(scroll.Record{
@@ -1178,7 +1216,7 @@ func (s *Sim) restoreProc(p *proc, ck *checkpoint.Checkpoint) {
 		panic(fmt.Sprintf("dsim: restore state of %s: %v", p.id, err))
 	}
 	p.clock = ck.Clock.Copy()
-	p.snap = nil
+	p.snapOK = false
 	p.scroll.Truncate(ck.ScrollSeq)
 	p.halted = false
 	for i := 0; i < s.queue.len(); i++ {
@@ -1389,7 +1427,7 @@ func (c *simContext) Random() uint64 {
 func (c *simContext) Send(to string, payload []byte) {
 	s, p := c.sim, c.proc
 	p.clock.Tick(p.id)
-	p.snap = nil
+	p.snapOK = false
 	lam := p.lamport.Tick()
 	s.msgN++
 	s.msgIDBuf = append(s.msgIDBuf[:0], 'm')

@@ -1,6 +1,7 @@
 package dsim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -11,37 +12,58 @@ import (
 // shared clock snapshots) must be invisible in every observable output.
 // These tests pin the equivalences the chaos engine depends on.
 
-// TestGFSRMatchesStdlib: the cached-seeding source must be bit-exact with
-// math/rand's default source across the drawing methods dsim uses —
-// including after a cached re-seed, which is the path Sim.Reset takes.
+// TestGFSRMatchesStdlib: the computed seeding must be bit-exact with
+// math/rand's default source across the drawing methods dsim uses, on
+// both the caching source (simulations; pass 1 re-seeds from the cache,
+// the path Sim.Reset takes) and the uncached one (scenario generation) —
+// including seed 0, negative seeds, multiples of 2³¹−1 (which the stdlib
+// maps to a fixed substitute) and seeds of 2³¹ and above.
 func TestGFSRMatchesStdlib(t *testing.T) {
-	src := &gfsrSource{}
-	for _, seed := range []int64{0, 1, 2, 42, -7, 1 << 40} {
-		for pass := 0; pass < 2; pass++ { // pass 1 hits the seeded-register cache
-			src.Seed(seed)
-			got := rand.New(src)
-			want := rand.New(rand.NewSource(seed))
-			for i := 0; i < 200; i++ {
-				switch i % 4 {
-				case 0:
-					if g, w := got.Uint64(), want.Uint64(); g != w {
-						t.Fatalf("seed %d pass %d draw %d: Uint64 %d != %d", seed, pass, i, g, w)
-					}
-				case 1:
-					if g, w := got.Int63n(97), want.Int63n(97); g != w {
-						t.Fatalf("seed %d pass %d draw %d: Int63n %d != %d", seed, pass, i, g, w)
-					}
-				case 2:
-					if g, w := got.Float64(), want.Float64(); g != w {
-						t.Fatalf("seed %d pass %d draw %d: Float64 %v != %v", seed, pass, i, g, w)
-					}
-				case 3:
-					if g, w := got.Int63(), want.Int63(); g != w {
-						t.Fatalf("seed %d pass %d draw %d: Int63 %d != %d", seed, pass, i, g, w)
+	seeds := []int64{0, 1, 2, 42, 89482311, -1, -7, -gfsrInt32, gfsrInt32, 2 * gfsrInt32,
+		-3 * gfsrInt32, gfsrInt32 - 1, 1 << 31, 1<<31 + 5, 1 << 40, math.MaxInt64, math.MinInt64}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 32; i++ {
+		seeds = append(seeds, int64(r.Uint64()))
+	}
+	for _, src := range []*gfsrSource{newCachedSource(), {}} {
+		for _, seed := range seeds {
+			for pass := 0; pass < 2; pass++ {
+				src.Seed(seed)
+				got := rand.New(src)
+				want := rand.New(rand.NewSource(seed))
+				for i := 0; i < 200; i++ {
+					switch i % 4 {
+					case 0:
+						if g, w := got.Uint64(), want.Uint64(); g != w {
+							t.Fatalf("seed %d pass %d draw %d: Uint64 %d != %d", seed, pass, i, g, w)
+						}
+					case 1:
+						if g, w := got.Int63n(97), want.Int63n(97); g != w {
+							t.Fatalf("seed %d pass %d draw %d: Int63n %d != %d", seed, pass, i, g, w)
+						}
+					case 2:
+						if g, w := got.Float64(), want.Float64(); g != w {
+							t.Fatalf("seed %d pass %d draw %d: Float64 %v != %v", seed, pass, i, g, w)
+						}
+					case 3:
+						if g, w := got.Int63(), want.Int63(); g != w {
+							t.Fatalf("seed %d pass %d draw %d: Int63 %d != %d", seed, pass, i, g, w)
+						}
 					}
 				}
 			}
 		}
+	}
+	if g := NewReseedableRand(); g.src.seeded != nil {
+		t.Error("scenario-generation source keeps a register cache")
+	}
+}
+
+// BenchmarkGFSRSeed measures computing a seeded register (no cache).
+func BenchmarkGFSRSeed(b *testing.B) {
+	var src gfsrSource
+	for i := 0; i < b.N; i++ {
+		src.Seed(int64(i))
 	}
 }
 

@@ -78,18 +78,14 @@ type Record struct {
 // clock-entries, where each variable field is uvarint-length-prefixed and the
 // clock is a count followed by (id, value) pairs.
 func (r *Record) encode() []byte {
-	buf, _ := r.appendEncode(make([]byte, 0, 64+len(r.Payload)), nil)
-	return buf
+	return r.appendEncode(make([]byte, 0, 64+len(r.Payload)))
 }
 
 // appendEncode appends the record's binary encoding to buf and returns the
-// extended buffer. ids is reusable scratch for sorting the clock entries;
-// pass the previous call's second return to amortize the allocation. The
-// produced bytes are identical to encode's for the same record — the
-// streaming Hasher depends on that.
-func (r *Record) appendEncode(buf []byte, ids []string) ([]byte, []string) {
-	buf = r.appendEncodePrefix(buf)
-	return appendEncodeClock(buf, r.Clock, ids)
+// extended buffer. The produced bytes are identical to encode's for the
+// same record — the streaming Hasher depends on that.
+func (r *Record) appendEncode(buf []byte) []byte {
+	return appendEncodeClock(r.appendEncodePrefix(buf), r.Clock)
 }
 
 // appendEncodePrefix appends everything up to (excluding) the clock
@@ -111,20 +107,16 @@ func (r *Record) appendEncodePrefix(buf []byte) []byte {
 }
 
 // appendEncodeClock appends the clock-entry suffix of the encoding: the
-// entry count followed by sorted (id, value) pairs.
-func appendEncodeClock(buf []byte, clock vclock.VC, ids []string) ([]byte, []string) {
-	ids = ids[:0]
-	for id := range clock {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
+// count of non-zero components followed by their (id, value) pairs in
+// ascending id order — the clock's table order, so no sort is needed.
+func appendEncodeClock(buf []byte, clock vclock.VC) []byte {
+	buf = binary.AppendUvarint(buf, uint64(clock.Len()))
+	for id, n := range clock.All() {
 		buf = binary.AppendUvarint(buf, uint64(len(id)))
 		buf = append(buf, id...)
-		buf = binary.AppendUvarint(buf, clock[id])
+		buf = binary.AppendUvarint(buf, n)
 	}
-	return buf, ids
+	return buf
 }
 
 // Digest returns a hex SHA-256 over the binary encoding of the records.
@@ -205,12 +197,12 @@ func decodeRecord(b []byte) (Record, error) {
 		return r, errors.New("scroll: truncated clock count")
 	}
 	b = b[sz:]
-	if cnt > 0 {
-		r.Clock = vclock.New()
+	if cnt > uint64(len(b)) { // every entry takes at least two bytes
+		return r, errors.New("scroll: truncated clock entries")
 	}
-	for i := uint64(0); i < cnt; i++ {
-		id, err := readStr()
-		if err != nil {
+	ids, ns := make([]string, cnt), make([]uint64, cnt)
+	for i := range ids {
+		if ids[i], err = readStr(); err != nil {
 			return r, err
 		}
 		v, sz := binary.Uvarint(b)
@@ -218,8 +210,9 @@ func decodeRecord(b []byte) (Record, error) {
 			return r, errors.New("scroll: truncated clock value")
 		}
 		b = b[sz:]
-		r.Clock[id] = v
+		ns[i] = v
 	}
+	r.Clock = vclock.Make(ids, ns)
 	return r, nil
 }
 

@@ -50,7 +50,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r := Record{
 		Proc: "node-3", Seq: 42, Kind: KindRecv, MsgID: "m-17", Peer: "node-1",
 		Payload: []byte("hello world"), Lamport: 99,
-		Clock: vclock.VC{"node-1": 7, "node-3": 12},
+		Clock: vclock.FromMap(map[string]uint64{"node-1": 7, "node-3": 12}),
 	}
 	got, err := decodeRecord(r.encode())
 	if err != nil {
@@ -84,7 +84,7 @@ func TestQuickEncodeDecode(t *testing.T) {
 		r := Record{
 			Proc: proc, Kind: Kind(kindSeed%8 + 1), MsgID: msgID, Peer: peer,
 			Payload: payload, Lamport: lamport,
-			Clock: vclock.VC{"a": uint64(kindSeed), proc: lamport % 17},
+			Clock: vclock.FromMap(map[string]uint64{"a": uint64(kindSeed), proc: lamport % 17}),
 		}
 		got, err := decodeRecord(r.encode())
 		if err != nil {
@@ -302,9 +302,11 @@ func TestMergeGlobalOrder(t *testing.T) {
 func TestToTraceCutAnalysis(t *testing.T) {
 	a := NewMemory("a")
 	b := NewMemory("b")
-	va := vclock.New().Tick("a")
+	va := vclock.New()
+	va.Tick("a")
 	a.Append(Record{Kind: KindSend, MsgID: "m1", Peer: "b", Lamport: 1, Clock: va.Copy()})
-	vb := va.Copy().Tick("b")
+	vb := va.Copy()
+	vb.Tick("b")
 	b.Append(Record{Kind: KindRecv, MsgID: "m1", Peer: "a", Lamport: 2, Clock: vb})
 	tr := ToTrace(Merge(a, b))
 	if tr.Len() != 2 {

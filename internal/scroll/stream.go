@@ -16,19 +16,19 @@ import (
 	"encoding/hex"
 	"hash"
 	"math/bits"
-	"reflect"
 	"sort"
 	"strconv"
+
+	"repro/internal/vclock"
 )
 
 // Hasher incrementally computes Digest over a record stream: Write each
-// record in merged order, then Sum. The encode buffer and clock-sort
-// scratch are reused across records, so a warm Hasher appends records
-// without allocating. The zero value is ready to use; Reset recycles it.
+// record in merged order, then Sum. The encode buffer is reused across
+// records, so a warm Hasher appends records without allocating. The zero
+// value is ready to use; Reset recycles it.
 type Hasher struct {
 	h   hash.Hash
 	buf []byte
-	ids []string
 	sum [sha256.Size]byte
 	hex [2 * sha256.Size]byte
 }
@@ -45,14 +45,14 @@ func (h *Hasher) Write(r *Record) {
 	if h.h == nil {
 		h.h = sha256.New()
 	}
-	h.buf, h.ids = r.appendEncode(h.buf[:0], h.ids)
+	h.buf = r.appendEncode(h.buf[:0])
 	h.h.Write(h.buf)
 }
 
 // writeCached feeds one record whose clock suffix was already encoded
 // (the Fingerprinter caches it per scroll: consecutive records of a
 // process share one immutable clock snapshot between Lamport ticks, so
-// re-encoding the map for every record is mostly redundant work).
+// re-encoding the clock for every record is mostly redundant work).
 func (h *Hasher) writeCached(r *Record, clockSuffix []byte) {
 	if h.h == nil {
 		h.h = sha256.New()
@@ -181,16 +181,17 @@ func (s shapeKeys) Less(i, j int) bool {
 }
 
 // cursor is one scroll's read position during the k-way merge, plus its
-// clock-suffix cache: clockPtr identifies (by map identity) the clock whose
-// encoded suffix is in clockBytes. Record clocks are immutable by
-// convention and the simulator shares one snapshot across the records
-// between two ticks, so identity equality is both sound and frequent.
+// clock-suffix cache: when cached is set, clockBytes holds the encoded
+// suffix of clock, identified by storage (vclock.VC.Same). Record clocks
+// are immutable by convention and the simulator shares one snapshot across
+// the records between two ticks, so identity equality is both sound and
+// frequent.
 type cursor struct {
 	recs       []Record
 	pos        int
-	clockPtr   uintptr
+	cached     bool
+	clock      vclock.VC
 	clockBytes []byte
-	ids        []string // clock-sort scratch
 }
 
 // Fingerprinter computes the digest and shape of the globally merged record
@@ -236,7 +237,7 @@ func (f *Fingerprinter) Fingerprint(scrolls []*Scroll, bucket uint64) (digest, s
 			f.cursors = append(f.cursors, cursor{})
 		}
 		c := &f.cursors[len(f.cursors)-1]
-		c.recs, c.pos, c.clockPtr = recs, 0, 0
+		c.recs, c.pos, c.cached = recs, 0, false
 	}
 	n := len(f.cursors)
 	f.hasher.Reset()
@@ -248,7 +249,7 @@ func (f *Fingerprinter) Fingerprint(scrolls []*Scroll, bucket uint64) (digest, s
 	}
 	digest, shape = f.hasher.Sum(), f.shape.Sum()
 	for i := range f.cursors[:n] { // drop record references: scrolls are recycled
-		f.cursors[i].recs = nil
+		f.cursors[i].recs, f.cursors[i].clock = nil, vclock.VC{}
 	}
 	f.cursors = f.cursors[:0]
 	f.all = f.all[:0]
@@ -261,9 +262,9 @@ func (f *Fingerprinter) feed(r *Record, c *cursor) {
 	if c == nil {
 		f.hasher.Write(r)
 	} else {
-		if ptr := reflect.ValueOf(r.Clock).Pointer(); ptr == 0 || ptr != c.clockPtr {
-			c.clockBytes, c.ids = appendEncodeClock(c.clockBytes[:0], r.Clock, c.ids)
-			c.clockPtr = ptr
+		if !c.cached || !r.Clock.Same(c.clock) {
+			c.clockBytes = appendEncodeClock(c.clockBytes[:0], r.Clock)
+			c.clock, c.cached = r.Clock, true
 		}
 		f.hasher.writeCached(r, c.clockBytes)
 	}

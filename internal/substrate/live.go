@@ -883,7 +883,7 @@ func (s *LiveSubstrate) Clock(id string) vclock.VC {
 	p, ok := s.procs[id]
 	s.mu.Unlock()
 	if !ok {
-		return nil
+		return vclock.VC{}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()

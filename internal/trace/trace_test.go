@@ -14,13 +14,17 @@ import (
 //	A: recv m2
 func buildPingPong() *Trace {
 	t := New()
-	vA := vclock.New().Tick("A")
+	vA := vclock.New()
+	vA.Tick("A")
 	t.Append(Event{Proc: "A", Seq: 0, Kind: Send, MsgID: "m1", Peer: "B", Clock: vA.Copy(), Lamport: 1})
-	vB := vA.Copy().Tick("B")
+	vB := vA.Copy()
+	vB.Tick("B")
 	t.Append(Event{Proc: "B", Seq: 0, Kind: Receive, MsgID: "m1", Peer: "A", Clock: vB.Copy(), Lamport: 2})
 	vB.Tick("B")
 	t.Append(Event{Proc: "B", Seq: 1, Kind: Send, MsgID: "m2", Peer: "A", Clock: vB.Copy(), Lamport: 3})
-	vA2 := vA.Copy().Merge(vB).Tick("A")
+	vA2 := vA.Copy()
+	vA2.Merge(vB)
+	vA2.Tick("A")
 	t.Append(Event{Proc: "A", Seq: 1, Kind: Receive, MsgID: "m2", Peer: "B", Clock: vA2, Lamport: 4})
 	return t
 }
@@ -161,7 +165,8 @@ func randTrace(r *rand.Rand, nproc, nmsg int) *Trace {
 			msg := inflight[i]
 			inflight = append(inflight[:i], inflight[i+1:]...)
 			to := r.Intn(nproc)
-			clocks[to].Merge(msg.clock).Tick(procs[to])
+			clocks[to].Merge(msg.clock)
+			clocks[to].Tick(procs[to])
 			tr.Append(Event{Proc: procs[to], Seq: seqs[to], Kind: Receive, MsgID: msg.id, Clock: clocks[to].Copy(), Lamport: lam.Witness(0)})
 			seqs[to]++
 		default: // internal

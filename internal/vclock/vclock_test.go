@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// m abbreviates clock literals: FromMap(m{"a": 1}).
+type m = map[string]uint64
+
 func TestTickAndGet(t *testing.T) {
 	v := New()
 	if got := v.Get("a"); got != 0 {
@@ -28,15 +31,15 @@ func TestCompareTable(t *testing.T) {
 		a, b VC
 		want Ordering
 	}{
-		{"both empty", VC{}, VC{}, Equal},
-		{"identical", VC{"a": 1, "b": 2}, VC{"a": 1, "b": 2}, Equal},
-		{"simple before", VC{"a": 1}, VC{"a": 2}, Before},
-		{"simple after", VC{"a": 3}, VC{"a": 2}, After},
-		{"subset before", VC{"a": 1}, VC{"a": 1, "b": 1}, Before},
-		{"superset after", VC{"a": 1, "b": 1}, VC{"a": 1}, After},
-		{"concurrent disjoint", VC{"a": 1}, VC{"b": 1}, Concurrent},
-		{"concurrent crossed", VC{"a": 2, "b": 1}, VC{"a": 1, "b": 2}, Concurrent},
-		{"zero component equals absent", VC{"a": 1, "b": 0}, VC{"a": 1}, Equal},
+		{"both empty", New(), New(), Equal},
+		{"identical", FromMap(m{"a": 1, "b": 2}), FromMap(m{"a": 1, "b": 2}), Equal},
+		{"simple before", FromMap(m{"a": 1}), FromMap(m{"a": 2}), Before},
+		{"simple after", FromMap(m{"a": 3}), FromMap(m{"a": 2}), After},
+		{"subset before", FromMap(m{"a": 1}), FromMap(m{"a": 1, "b": 1}), Before},
+		{"superset after", FromMap(m{"a": 1, "b": 1}), FromMap(m{"a": 1}), After},
+		{"concurrent disjoint", FromMap(m{"a": 1}), FromMap(m{"b": 1}), Concurrent},
+		{"concurrent crossed", FromMap(m{"a": 2, "b": 1}), FromMap(m{"a": 1, "b": 2}), Concurrent},
+		{"zero component equals absent", FromMap(m{"a": 1, "b": 0}), FromMap(m{"a": 1}), Equal},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -50,9 +53,9 @@ func TestCompareTable(t *testing.T) {
 func TestCompareAntisymmetry(t *testing.T) {
 	inverse := map[Ordering]Ordering{Equal: Equal, Before: After, After: Before, Concurrent: Concurrent}
 	pairs := []struct{ a, b VC }{
-		{VC{"a": 1}, VC{"a": 2}},
-		{VC{"a": 1, "b": 5}, VC{"a": 2, "b": 3}},
-		{VC{}, VC{"x": 1}},
+		{FromMap(m{"a": 1}), FromMap(m{"a": 2})},
+		{FromMap(m{"a": 1, "b": 5}), FromMap(m{"a": 2, "b": 3})},
+		{New(), FromMap(m{"x": 1})},
 	}
 	for _, p := range pairs {
 		ab, ba := p.a.Compare(p.b), p.b.Compare(p.a)
@@ -63,21 +66,21 @@ func TestCompareAntisymmetry(t *testing.T) {
 }
 
 func TestMerge(t *testing.T) {
-	a := VC{"a": 3, "b": 1}
-	b := VC{"b": 4, "c": 2}
+	a := FromMap(m{"a": 3, "b": 1})
+	b := FromMap(m{"b": 4, "c": 2})
 	a.Merge(b)
-	want := VC{"a": 3, "b": 4, "c": 2}
+	want := FromMap(m{"a": 3, "b": 4, "c": 2})
 	if a.Compare(want) != Equal {
 		t.Errorf("Merge = %v, want %v", a, want)
 	}
 	// b must be unchanged.
-	if b.Compare(VC{"b": 4, "c": 2}) != Equal {
+	if b.Compare(FromMap(m{"b": 4, "c": 2})) != Equal {
 		t.Errorf("Merge mutated argument: %v", b)
 	}
 }
 
 func TestCopyIndependence(t *testing.T) {
-	a := VC{"a": 1}
+	a := FromMap(m{"a": 1})
 	c := a.Copy()
 	c.Tick("a")
 	if a.Get("a") != 1 {
@@ -86,23 +89,23 @@ func TestCopyIndependence(t *testing.T) {
 }
 
 func TestDominatesOrEqual(t *testing.T) {
-	if !(VC{"a": 2, "b": 1}).DominatesOrEqual(VC{"a": 2}) {
+	if !FromMap(m{"a": 2, "b": 1}).DominatesOrEqual(FromMap(m{"a": 2})) {
 		t.Error("superset should dominate")
 	}
-	if (VC{"a": 1}).DominatesOrEqual(VC{"a": 2}) {
+	if FromMap(m{"a": 1}).DominatesOrEqual(FromMap(m{"a": 2})) {
 		t.Error("smaller clock must not dominate")
 	}
-	if (VC{"a": 1}).DominatesOrEqual(VC{"b": 1}) {
+	if FromMap(m{"a": 1}).DominatesOrEqual(FromMap(m{"b": 1})) {
 		t.Error("concurrent clocks must not dominate")
 	}
 }
 
 func TestString(t *testing.T) {
-	v := VC{"b": 2, "a": 1}
+	v := FromMap(m{"b": 2, "a": 1})
 	if got, want := v.String(), "{a:1 b:2}"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
 	}
-	if got, want := (VC{}).String(), "{}"; got != want {
+	if got, want := New().String(), "{}"; got != want {
 		t.Errorf("empty String = %q, want %q", got, want)
 	}
 }
@@ -122,7 +125,7 @@ func randVC(r *rand.Rand) VC {
 	v := New()
 	for _, id := range ids {
 		if r.Intn(2) == 1 {
-			v[id] = uint64(r.Intn(5))
+			v.Set(id, uint64(r.Intn(5)))
 		}
 	}
 	return v
@@ -134,14 +137,15 @@ func TestQuickMergeIsLUB(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randVC(r), randVC(r)
-		m := a.Copy().Merge(b)
-		if !m.DominatesOrEqual(a) || !m.DominatesOrEqual(b) {
+		mg := a.Copy()
+		mg.Merge(b)
+		if !mg.DominatesOrEqual(a) || !mg.DominatesOrEqual(b) {
 			return false
 		}
 		// Upper bound u = merge plus arbitrary extra ticks.
-		u := m.Copy()
+		u := mg.Copy()
 		u.Tick("p0")
-		return u.DominatesOrEqual(m)
+		return u.DominatesOrEqual(mg)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
